@@ -307,8 +307,6 @@ impl DropAccounting {
 pub struct HealthSummary {
     /// Coordinator rounds executed (0 for sequential runs).
     pub rounds: u64,
-    /// Speculative rollbacks / speculative windows (0.0 when none ran).
-    pub rollback_rate: f64,
     /// Times a cross-shard ring producer had to spin for space.
     pub ring_stalls: u64,
     /// Peak occupancy over all cross-shard rings.
@@ -448,7 +446,6 @@ impl TelemetrySnapshot {
             ));
         }
         for (name, v) in [
-            ("health_rollback_rate", self.health.rollback_rate),
             ("health_flow_hit_rate", self.health.flow_hit_rate),
             ("health_degrade_dwell_ns", self.health.degrade_dwell_ns),
         ] {
@@ -545,5 +542,18 @@ mod tests {
         assert_eq!(back.schema, TELEMETRY_SCHEMA);
         assert_eq!(back.journal_count(JournalKind::FlowPromote), 7);
         assert_eq!(back.drops.journal, 2);
+    }
+
+    #[test]
+    fn committed_snapshot_with_retired_health_field_still_parses() {
+        // This committed export still carries `health.rollback_rate`, a
+        // field the schema no longer has. No telemetry type denies unknown
+        // fields, so older snapshots stay readable.
+        let json = include_str!("../../../results/chaos_demo.telemetry.json");
+        let snap: TelemetrySnapshot =
+            serde_json::from_str(json).expect("committed snapshot parses");
+        assert_eq!(snap.schema, TELEMETRY_SCHEMA);
+        assert!(!snap.journal.is_empty(), "journal records survive");
+        assert_eq!(snap.journal_count(JournalKind::CniDegrade), 1);
     }
 }

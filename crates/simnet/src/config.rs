@@ -2,7 +2,7 @@
 //!
 //! [`SimConfig`] is the unified front door for every engine knob that used
 //! to be scattered across constructors and ad-hoc `std::env` reads: shard
-//! count, synchronization mode, coordinator backend, flight recorder,
+//! count, coordinator backend, flight recorder,
 //! event tracing, the fault plan, and the simulation [`Fidelity`].
 //!
 //! The `SIMNET_*` environment variables still work, but they are demoted
@@ -11,9 +11,8 @@
 //! | Variable           | Effect                                          |
 //! |--------------------|-------------------------------------------------|
 //! | `SIMNET_SHARDS`    | shard count (default 1)                         |
-//! | `SIMNET_OPTIMISTIC`| `1`/`true` → optimistic synchronization          |
-//! | `SIMNET_INLINE`    | `1` inline / `0` threaded coordinator backend    |
-//! | `SIMNET_FIDELITY`  | `packet` (default), `hybrid`, or `flowonly`      |
+//! | `SIMNET_INLINE`    | `1` inline / `0` threaded coordinator backend   |
+//! | `SIMNET_FIDELITY`  | `packet` (default) or `hybrid`                  |
 //! | `SIMNET_TELEMETRY` | `off` (default), `counters`, or `full`          |
 //!
 //! Typical use:
@@ -42,18 +41,6 @@ pub fn shards_from_env() -> usize {
         .unwrap_or(1)
 }
 
-/// Reads the `SIMNET_OPTIMISTIC` environment knob: `1` or `true` enables
-/// optimistic (time-warp-lite) synchronization, anything else — including
-/// the variable being unset — selects conservative mode.
-pub fn optimistic_from_env() -> bool {
-    std::env::var("SIMNET_OPTIMISTIC")
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true")
-        })
-        .unwrap_or(false)
-}
-
 /// Reads the `SIMNET_INLINE` environment knob: `Some(true)` pins the
 /// inline coordinator backend, any other set value pins the threaded one,
 /// unset defers to the core-count heuristic.
@@ -74,15 +61,14 @@ pub fn telemetry_from_env() -> Option<TelemetryMode> {
     }
 }
 
-/// Reads the `SIMNET_FIDELITY` environment knob: `packet`, `hybrid`, or
-/// `flowonly`/`flow-only`/`flow_only`. Unset or unrecognized values read
-/// as `None` (caller keeps its programmed default).
+/// Reads the `SIMNET_FIDELITY` environment knob: `packet` or `hybrid`.
+/// Unset or unrecognized values read as `None` (caller keeps its
+/// programmed default).
 pub fn fidelity_from_env() -> Option<Fidelity> {
     let v = std::env::var("SIMNET_FIDELITY").ok()?;
     match v.trim().to_ascii_lowercase().as_str() {
         "packet" => Some(Fidelity::Packet),
         "hybrid" => Some(Fidelity::Hybrid),
-        "flowonly" | "flow-only" | "flow_only" => Some(Fidelity::FlowOnly),
         _ => None,
     }
 }
@@ -90,12 +76,11 @@ pub fn fidelity_from_env() -> Option<Fidelity> {
 /// Builder for a fully configured simulation (see module docs).
 ///
 /// Defaults match a plain `ShardedNetwork::new(net, 1)`: one shard,
-/// conservative synchronization, backend by core-count heuristic, flight
+/// backend by core-count heuristic, flight
 /// recorder off, no event trace, no fault plan, packet fidelity.
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
     shards: Option<usize>,
-    optimistic: bool,
     inline: Option<bool>,
     trace: TraceConfig,
     tracing: bool,
@@ -123,9 +108,6 @@ impl SimConfig {
         if std::env::var("SIMNET_SHARDS").is_ok() {
             self.shards = Some(shards_from_env());
         }
-        if std::env::var("SIMNET_OPTIMISTIC").is_ok() {
-            self.optimistic = optimistic_from_env();
-        }
         if let Some(inline) = inline_from_env() {
             self.inline = Some(inline);
         }
@@ -147,14 +129,9 @@ impl SimConfig {
         self
     }
 
-    /// Optimistic (time-warp-lite) vs conservative synchronization.
-    pub fn optimistic(mut self, on: bool) -> SimConfig {
-        self.optimistic = on;
-        self
-    }
-
     /// Pins the coordinator backend (`Some(true)` inline, `Some(false)`
-    /// threaded); `None` defers to `SIMNET_INLINE` then the core count.
+    /// threaded); `None` picks inline exactly on a single-core host.
+    /// [`SimConfig::env_overrides`] sets it from `SIMNET_INLINE`.
     pub fn inline(mut self, inline: Option<bool>) -> SimConfig {
         self.inline = inline;
         self
@@ -178,7 +155,7 @@ impl SimConfig {
         self
     }
 
-    /// Simulation fidelity (packet / hybrid / flow-only).
+    /// Simulation fidelity (packet / hybrid).
     pub fn fidelity(mut self, f: Fidelity) -> SimConfig {
         self.fidelity = f;
         self
@@ -218,7 +195,6 @@ impl SimConfig {
         net.set_fidelity(self.fidelity);
         net.set_telemetry_config(self.telemetry);
         let mut sharded = ShardedNetwork::new(net, self.shards.unwrap_or(1));
-        sharded.set_optimistic(self.optimistic);
         sharded.set_inline(self.inline);
         sharded
     }
@@ -246,20 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_from_env_parses_and_defaults() {
-        let _g = ENV_LOCK.lock().unwrap();
-        std::env::remove_var("SIMNET_OPTIMISTIC");
-        assert!(!optimistic_from_env());
-        std::env::set_var("SIMNET_OPTIMISTIC", "1");
-        assert!(optimistic_from_env());
-        std::env::set_var("SIMNET_OPTIMISTIC", "true");
-        assert!(optimistic_from_env());
-        std::env::set_var("SIMNET_OPTIMISTIC", "0");
-        assert!(!optimistic_from_env());
-        std::env::remove_var("SIMNET_OPTIMISTIC");
-    }
-
-    #[test]
     fn inline_and_fidelity_env_knobs_parse() {
         let _g = ENV_LOCK.lock().unwrap();
         std::env::remove_var("SIMNET_INLINE");
@@ -275,7 +237,7 @@ mod tests {
         std::env::set_var("SIMNET_FIDELITY", "hybrid");
         assert_eq!(fidelity_from_env(), Some(Fidelity::Hybrid));
         std::env::set_var("SIMNET_FIDELITY", "Flow-Only");
-        assert_eq!(fidelity_from_env(), Some(Fidelity::FlowOnly));
+        assert_eq!(fidelity_from_env(), None, "only packet and hybrid parse");
         std::env::set_var("SIMNET_FIDELITY", "bogus");
         assert_eq!(fidelity_from_env(), None);
         std::env::remove_var("SIMNET_FIDELITY");
@@ -310,7 +272,6 @@ mod tests {
     fn env_overrides_apply_on_top_of_programmed_defaults() {
         let _g = ENV_LOCK.lock().unwrap();
         std::env::remove_var("SIMNET_SHARDS");
-        std::env::remove_var("SIMNET_OPTIMISTIC");
         std::env::remove_var("SIMNET_INLINE");
         std::env::set_var("SIMNET_FIDELITY", "hybrid");
         let cfg = SimConfig::new()
@@ -328,11 +289,9 @@ mod tests {
         std::env::remove_var("SIMNET_SHARDS");
         let net = Network::new(7);
         let sim = SimConfig::new()
-            .optimistic(true)
             .inline(Some(true))
             .fidelity(Fidelity::Hybrid)
             .build(net);
         assert_eq!(sim.nshards(), 1, "empty topology is one shard");
-        assert!(sim.optimistic());
     }
 }

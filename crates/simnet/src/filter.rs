@@ -514,7 +514,7 @@ const TRACK_GC_EVERY: u32 = 256;
 /// NAT conntrack to consult (bridges, hostlo queues, endpoints). Lives
 /// inside the device, so the sharded engine snapshots/forks it with the
 /// device and state resolution stays bit-deterministic.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct StateTracker {
     conns: HashMap<(Proto, SockAddr, SockAddr), SimTime>,
     /// Unordered ip-pair index for RELATED lookups (canonical low/high).

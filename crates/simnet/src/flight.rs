@@ -253,14 +253,8 @@ pub fn telemetry_report(report: &RunReport, label: &str) -> TelemetrySnapshot {
     );
     snap.drops.spans = report.spans_dropped;
     snap.drops.trace = report.trace_dropped;
-    let spec_windows = report.sync.spec_commits + report.sync.spec_rollbacks;
     snap.health = HealthSummary {
         rounds: report.sync.rounds,
-        rollback_rate: if spec_windows > 0 {
-            report.sync.spec_rollbacks as f64 / spec_windows as f64
-        } else {
-            0.0
-        },
         ring_stalls: report.sync.ring_stalls,
         ring_high_water: report.sync.ring_high_water,
         flow_hit_rate: flow_hit_rate(&report.store),

@@ -48,9 +48,6 @@ pub enum Fidelity {
     /// Steady flows take the analytic fast path but are periodically
     /// re-probed at packet level so path/NAT changes are caught.
     Hybrid,
-    /// Steady flows stay on the fast path without revalidation probes;
-    /// only fault windows, idle gaps, and conflicting adverts escalate.
-    FlowOnly,
 }
 
 /// Number of consecutive consistent adverts before a flow is promoted to
@@ -63,8 +60,8 @@ const STEADY_AFTER: u32 = 3;
 /// flooding bridge, must not probe forever at full rate).
 const LEARN_CAP: u64 = 256;
 
-/// Steady-state revalidation cadence in `Hybrid` mode: one emission in
-/// this many goes packet level to re-verify the learned path.
+/// Steady-state revalidation cadence: one emission in this many goes
+/// packet level to re-verify the learned path.
 const PROBE_EVERY: u64 = 32;
 
 /// Revalidation cadence for flows whose path crosses a NAT: conntrack
@@ -224,7 +221,7 @@ pub struct FlowUpdate {
 }
 
 /// The analytic model of a converged path.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LearnedPath {
     /// Delivery device.
     pub dst: DeviceId,
@@ -315,7 +312,7 @@ fn headers_match(a: &Frame, b: &Frame) -> bool {
 }
 
 /// Per-flow learning/steady state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct FlowState {
     /// Emissions seen (drives probe cadence).
     emits: u64,
@@ -380,7 +377,7 @@ pub(crate) enum EmitAction {
 /// A flow-table decision worth journaling. At most one per
 /// `on_emit`/`absorb` call; the engine drains it through
 /// [`FlowTable::take_event`] immediately after the call that produced it
-/// (so the slot is always empty at snapshot boundaries).
+/// (so the slot is always empty between events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlowEvent {
     /// A flow confirmed its path and was promoted to the fast path.
@@ -405,13 +402,9 @@ pub(crate) enum FlowEvent {
     },
 }
 
-/// The per-engine flow table (present only in `Hybrid`/`FlowOnly` runs).
-///
-/// Cloned wholesale into [`EngineSnapshot`](crate::engine::Network)
-/// snapshots so optimistic rollback restores flow state exactly.
-#[derive(Debug, Clone)]
+/// The per-engine flow table (present only in `Hybrid` runs).
+#[derive(Debug)]
 pub(crate) struct FlowTable {
-    fidelity: Fidelity,
     flows: HashMap<FlowKey, FlowState>,
     ids: FlowIds,
     /// Pending journal-worthy decision (see [`FlowEvent`]).
@@ -419,10 +412,8 @@ pub(crate) struct FlowTable {
 }
 
 impl FlowTable {
-    pub(crate) fn new(fidelity: Fidelity, store: &mut SampleStore) -> FlowTable {
-        debug_assert_ne!(fidelity, Fidelity::Packet);
+    pub(crate) fn new(store: &mut SampleStore) -> FlowTable {
         FlowTable {
-            fidelity,
             flows: HashMap::new(),
             ids: FlowIds::intern(store),
             last_event: None,
@@ -431,14 +422,10 @@ impl FlowTable {
 
     /// Drains the decision event produced by the last `on_emit`/`absorb`
     /// call, if any. The engine calls this right after each call so the
-    /// slot never survives into a snapshot.
+    /// slot never outlives the event that filled it.
     #[inline]
     pub(crate) fn take_event(&mut self) -> Option<FlowEvent> {
         self.last_event.take()
-    }
-
-    pub(crate) fn fidelity(&self) -> Fidelity {
-        self.fidelity
     }
 
     /// The learned path of a steady flow (used to synthesize deliveries).
@@ -548,17 +535,15 @@ impl FlowTable {
                 return EmitAction::Probe;
             }
             st.policy_checked = when;
-            // Hybrid keeps revalidating; FlowOnly trusts the model.
-            if self.fidelity == Fidelity::Hybrid {
-                let cadence = if has_nat {
-                    NAT_PROBE_EVERY
-                } else {
-                    PROBE_EVERY
-                };
-                if st.emits.is_multiple_of(cadence) {
-                    store.add_id(self.ids.probes, 1.0);
-                    return EmitAction::Probe;
-                }
+            // Periodic revalidation at the path's cadence.
+            let cadence = if has_nat {
+                NAT_PROBE_EVERY
+            } else {
+                PROBE_EVERY
+            };
+            if st.emits.is_multiple_of(cadence) {
+                store.add_id(self.ids.probes, 1.0);
+                return EmitAction::Probe;
             }
             return EmitAction::Fast;
         }
@@ -577,7 +562,7 @@ impl FlowTable {
     pub(crate) fn absorb(&mut self, update: FlowUpdate, store: &mut SampleStore) {
         store.add_id(self.ids.adverts, 1.0);
         let Some(st) = self.flows.get_mut(&update.key) else {
-            // The flow was forgotten (snapshot restore): ignore.
+            // An advert for a flow this table never saw emit: ignore.
             return;
         };
         if st.pipelined {
@@ -696,7 +681,7 @@ mod tests {
     #[test]
     fn three_consistent_adverts_promote_then_fast() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -717,7 +702,7 @@ mod tests {
     #[test]
     fn pipelined_emission_pins_flow_to_packet_level() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -754,7 +739,7 @@ mod tests {
     #[test]
     fn changed_path_demotes() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -776,7 +761,7 @@ mod tests {
     #[test]
     fn fault_window_escalates() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -795,7 +780,7 @@ mod tests {
     #[test]
     fn rule_change_escalates_steady_flow() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::FlowOnly, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -808,7 +793,7 @@ mod tests {
             EmitAction::Fast
         );
         // An epoch bump (a rule was installed/removed on a hop's table)
-        // escalates even in FlowOnly mode, which skips cadence probes.
+        // escalates at once, without waiting for a cadence probe.
         let bumped = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 1u64);
         assert_eq!(
             t.on_emit(&k, SimTime(5000), &no_fault, &bumped, &mut store),
@@ -837,7 +822,7 @@ mod tests {
     #[test]
     fn idle_gap_demotes() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::FlowOnly, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);
@@ -865,7 +850,7 @@ mod tests {
     #[test]
     fn not_ok_paths_never_promote() {
         let mut store = SampleStore::default();
-        let mut t = FlowTable::new(Fidelity::Hybrid, &mut store);
+        let mut t = FlowTable::new(&mut store);
         let k = key();
         let no_fault = |_: &[(DeviceId, PortId)], _: SimTime, _: u64| false;
         let clean = |_: &[(DeviceId, PortId)], _: SimTime, _: SimTime| (false, 0u64);

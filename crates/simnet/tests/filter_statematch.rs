@@ -533,35 +533,23 @@ fn filtered_runs_are_bit_identical_across_shards_and_modes() {
         "reject window fired"
     );
 
-    for optimistic in [false, true] {
-        for want in [1, 2, 8] {
-            let mut sn = ShardedNetwork::new(filtered_net(), want);
-            sn.set_optimistic(optimistic);
-            sn.run(StopCondition::Until(SimTime(2_000_000)));
-            let nshards = sn.nshards();
-            if want > 1 {
-                assert!(nshards > 1, "multi-host topology must actually shard");
-            }
-            let report = sn.into_report();
-            let (samples, counters) = snapshot(&report.store);
-            let out = Outcome {
-                samples,
-                counters,
-                cpu: report.cpu,
-                events: report.events_processed,
-                dropped: report.dropped_no_link,
-                now: report.now,
-            };
-            let mode = if optimistic {
-                "optimistic"
-            } else {
-                "conservative"
-            };
-            assert_identical(
-                &format!("{mode}, {want} shards (got {nshards})"),
-                &seq,
-                &out,
-            );
+    for want in [1, 2, 8] {
+        let mut sn = ShardedNetwork::new(filtered_net(), want);
+        sn.run(StopCondition::Until(SimTime(2_000_000)));
+        let nshards = sn.nshards();
+        if want > 1 {
+            assert!(nshards > 1, "multi-host topology must actually shard");
         }
+        let report = sn.into_report();
+        let (samples, counters) = snapshot(&report.store);
+        let out = Outcome {
+            samples,
+            counters,
+            cpu: report.cpu,
+            events: report.events_processed,
+            dropped: report.dropped_no_link,
+            now: report.now,
+        };
+        assert_identical(&format!("{want} shards (got {nshards})"), &seq, &out);
     }
 }

@@ -74,28 +74,25 @@ fn sequential(telemetry: TelemetryConfig) -> (Vec<JournalRecord>, u64, Vec<u64>)
 fn assert_shard_invariant(telemetry: TelemetryConfig) -> u64 {
     let (ref_records, ref_dropped, ref_counts) = sequential(telemetry);
     for shards in [1usize, 2, 4, 8] {
-        for optimistic in [false, true] {
-            let mut sn = SimConfig::new()
-                .shards(shards)
-                .optimistic(optimistic)
-                .telemetry(telemetry)
-                .build(build(telemetry));
-            sn.run(StopCondition::Until(HORIZON));
-            let report = sn.into_report();
-            assert_eq!(
-                report.journal, ref_records,
-                "kept records diverged at {shards} shards (optimistic={optimistic})"
-            );
-            assert_eq!(
-                report.journal_dropped, ref_dropped,
-                "drop count diverged at {shards} shards (optimistic={optimistic})"
-            );
-            assert_eq!(
-                report.journal_counts.to_vec(),
-                ref_counts,
-                "per-kind counts diverged at {shards} shards (optimistic={optimistic})"
-            );
-        }
+        let mut sn = SimConfig::new()
+            .shards(shards)
+            .telemetry(telemetry)
+            .build(build(telemetry));
+        sn.run(StopCondition::Until(HORIZON));
+        let report = sn.into_report();
+        assert_eq!(
+            report.journal, ref_records,
+            "kept records diverged at {shards} shards"
+        );
+        assert_eq!(
+            report.journal_dropped, ref_dropped,
+            "drop count diverged at {shards} shards"
+        );
+        assert_eq!(
+            report.journal_counts.to_vec(),
+            ref_counts,
+            "per-kind counts diverged at {shards} shards"
+        );
     }
     ref_dropped
 }
@@ -122,7 +119,7 @@ fn journal_bit_identical_across_shards_and_sync_modes() {
 fn tiny_cap_overflow_drops_are_shard_invariant() {
     // Cap below the scenario's record count: the ring must overflow, and
     // the kept prefix + drop count must still match the sequential run
-    // at every shard count and in both sync modes.
+    // at every shard count.
     let cfg = TelemetryConfig::full().with_journal_cap(3);
     let dropped = assert_shard_invariant(cfg);
     assert!(dropped > 0, "the tiny cap must actually overflow");
