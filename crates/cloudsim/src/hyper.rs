@@ -809,6 +809,33 @@ mod tests {
         }
     }
 
+    /// The same pairing on a fleet big enough to fill many grid cells:
+    /// a 3 000-placement prefix whose live fleet passes 1 000 VMs.
+    #[test]
+    fn naive_and_indexed_agree_on_a_thousand_vm_fleet() {
+        for policy in [
+            PlacePolicy::MostRequested,
+            PlacePolicy::BinPack,
+            PlacePolicy::Spread,
+        ] {
+            let cfg = |naive| HyperConfig {
+                users: 5_000,
+                seed: 11,
+                policy,
+                naive,
+                max_placements: Some(3_000),
+                ..HyperConfig::default()
+            };
+            let fast = run_hyperscale(&cfg(false));
+            let slow = run_hyperscale(&cfg(true));
+            assert!(fast.peak_vms >= 1_000, "peak fleet {} VMs", fast.peak_vms);
+            assert_eq!(fast.digest, slow.digest, "policy {policy:?}");
+            assert_eq!(fast.placements, slow.placements);
+            assert_eq!(fast.total_cost, slow.total_cost);
+            assert_eq!(fast.curve, slow.curve);
+        }
+    }
+
     #[test]
     fn policies_disagree_on_placements() {
         let most = run_hyperscale(&small_cfg());

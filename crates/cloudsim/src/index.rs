@@ -21,6 +21,16 @@
 //! `max(ci,cj) = S` for bin-pack — and stops as soon as the best candidate
 //! found provably beats everything in the unvisited cells.
 //!
+//! Most cells of a loaded grid are empty, so each class also keeps one
+//! `u32` **occupancy mask** per anti-diagonal (bit `ci` of level `L` is set
+//! iff cell `(ci, L-ci)` has members). A diagonal walk ANDs the level's
+//! mask with the quadrant's `ci` range and visits only the set bits, so an
+//! empty level costs O(1). A cell holds **member records** — the node id
+//! and its free vector as three `u32`s — so every scan tests feasibility
+//! and scores without leaving the cell. Per node the index stores that
+//! 12-byte record plus a 12-byte entry (class, cell, slot) locating it;
+//! usage is derived as capacity minus free.
+//!
 //! # Exactness
 //!
 //! Scores are compared as exact rationals (`u128` cross-multiplication),
@@ -29,7 +39,8 @@
 //! reference full scan [`FreeCapIndex::pick_naive`] — the property tests
 //! exercise this under random churn. Coordinates and capacities must stay
 //! below `2^31` per axis (2.1M vCPU / 2 PiB — far above any real node) so
-//! the cross-products fit in `u128`.
+//! the cross-products fit in `u128` and a member's free vector fits two
+//! `u32`s exactly.
 //!
 //! A separate query, [`FreeCapIndex::pick_most_requested_f64`], reproduces
 //! the *orchestrator's* legacy floating-point scoring (mean requested
@@ -91,23 +102,60 @@ impl Frac {
     }
 }
 
+/// `Entry::class` of an id that is not live.
+const DEAD: u32 = u32::MAX;
+
+/// Anti-diagonals `ci + cj = L` of a grid.
+const LEVELS: usize = 2 * GRID - 1;
+
+// One occupancy bit per grid row fits in a `u32` diagonal mask.
+const _: () = assert!(GRID <= u32::BITS as usize);
+
+/// Where live node `id`'s record sits: `classes[class].cells[cell][slot]`.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    /// Capacity class, index into `FreeCapIndex::classes`.
+    /// Capacity class, index into `FreeCapIndex::classes`, or [`DEAD`].
     class: u32,
     /// Grid cell `ci * GRID + cj` within the class.
     cell: u32,
     /// Position within the cell's member list.
     slot: u32,
-    used: Res,
-    live: bool,
+}
+
+/// A cell's record of one node: its id and free vector, held inline so a
+/// scan tests feasibility and scores without leaving the cell. Both axes
+/// fit a `u32` because they stay below [`MAX_DIM`].
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    id: u32,
+    cpu: u32,
+    mem: u32,
+}
+
+impl Member {
+    /// `free` must fit its class's capacity, which `insert` and `reset`
+    /// bound below [`MAX_DIM`], so the casts are exact.
+    fn new(id: u32, free: Res) -> Member {
+        Member {
+            id,
+            cpu: free.cpu_m as u32,
+            mem: free.mem_mib as u32,
+        }
+    }
+
+    fn free(self) -> Res {
+        Res::new(u64::from(self.cpu), u64::from(self.mem))
+    }
 }
 
 #[derive(Debug)]
 struct CapClass {
     cap: Res,
     /// `GRID * GRID` member lists; cell `(ci, cj)` at `ci * GRID + cj`.
-    cells: Vec<Vec<u32>>,
+    cells: Vec<Vec<Member>>,
+    /// Occupancy per anti-diagonal: bit `ci` of `diag[L]` is set iff cell
+    /// `(ci, L - ci)` has members.
+    diag: [u32; LEVELS],
     /// Live members in this class.
     len: usize,
 }
@@ -117,8 +165,133 @@ impl CapClass {
         CapClass {
             cap,
             cells: (0..GRID * GRID).map(|_| Vec::new()).collect(),
+            diag: [0; LEVELS],
             len: 0,
         }
+    }
+
+    /// The cell a node with free vector `free` belongs to.
+    fn cell_of(&self, free: Res) -> u32 {
+        let ci = axis_cell(free.cpu_m, self.cap.cpu_m);
+        let cj = axis_cell(free.mem_mib, self.cap.mem_mib);
+        (ci * GRID + cj) as u32
+    }
+
+    /// Calls `f` on every member of diagonal `level` inside the feasible
+    /// quadrant `ci >= fi, cj >= fj`, skipping empty cells via the mask.
+    fn visit_diag(&self, level: usize, fi: usize, fj: usize, mut f: impl FnMut(Member)) {
+        let lo = fi.max(level.saturating_sub(GRID - 1));
+        let hi = (GRID - 1).min(level - fj);
+        // Bits lo..=hi of the diagonal mask.
+        let mut bits = self.diag[level] & (u32::MAX << lo) & (u32::MAX >> (31 - hi));
+        while bits != 0 {
+            let ci = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            for &m in &self.cells[ci * GRID + level - ci] {
+                f(m);
+            }
+        }
+    }
+
+    /// Diagonal walk for the sum-of-free-shares policies. Ascending levels
+    /// minimize (most-requested); descending levels maximize (spread).
+    fn scan_sum(&self, req: Res, tie: TieBreak, spread: bool) -> Option<(Frac, u32)> {
+        if self.len == 0 || !req.fits_in(self.cap) {
+            return None;
+        }
+        let (cc, cm) = (self.cap.cpu_m.max(1), self.cap.mem_mib.max(1));
+        let den = cc * cm;
+        let fi = axis_cell(req.cpu_m, self.cap.cpu_m);
+        let fj = axis_cell(req.mem_mib, self.cap.mem_mib);
+        // R = rc/cc + rm/cm as rn/den: the score drop caused by placement.
+        let rn = req.cpu_m * cm + req.mem_mib * cc;
+        let mut best: Option<(Frac, u32)> = None;
+        for step in 0..LEVELS - (fi + fj) {
+            let level = if spread {
+                LEVELS - 1 - step
+            } else {
+                fi + fj + step
+            };
+            if let Some((b, _)) = best {
+                // A member of level L has free-share sum in
+                // [L/G, (L+2)/G], so its post-placement score lies in
+                // [L/G - R, (L+2)/G - R]. Stop (strictly — equal scores
+                // must still be scanned for the tie-break) once the whole
+                // remaining range cannot beat the incumbent.
+                let done = if spread {
+                    ((level + 2) as u128) * (den as u128)
+                        < (b.num as u128 + rn as u128) * (GRID as u128)
+                } else {
+                    (level as u128) * (den as u128) > (b.num as u128 + rn as u128) * (GRID as u128)
+                };
+                if done {
+                    break;
+                }
+            }
+            self.visit_diag(level, fi, fj, |m| {
+                let free = m.free();
+                if !req.fits_in(free) {
+                    return;
+                }
+                let fa_c = free.cpu_m - req.cpu_m;
+                let fa_m = free.mem_mib - req.mem_mib;
+                let f = Frac {
+                    num: fa_c * cm + fa_m * cc,
+                    den,
+                };
+                take_better(&mut best, f, m.id, !spread, tie);
+            });
+        }
+        best
+    }
+
+    /// L-shell walk for dominant-resource bin-packing: ascending shells
+    /// `max(ci, cj) = S`, minimizing the post-placement dominant free
+    /// share.
+    fn scan_binpack(&self, req: Res, tie: TieBreak) -> Option<(Frac, u32)> {
+        if self.len == 0 || !req.fits_in(self.cap) {
+            return None;
+        }
+        let (cc, cm) = (self.cap.cpu_m.max(1), self.cap.mem_mib.max(1));
+        let den = cc * cm;
+        let fi = axis_cell(req.cpu_m, self.cap.cpu_m);
+        let fj = axis_cell(req.mem_mib, self.cap.mem_mib);
+        // Dominant requested share max(rc/cc, rm/cm), over den.
+        let rbp = (req.cpu_m * cm).max(req.mem_mib * cc);
+        let mut best: Option<(Frac, u32)> = None;
+        for s in fi.max(fj)..GRID {
+            if let Some((b, _)) = best {
+                // A member of shell S has dominant free share >= S/G, so
+                // its post-placement score is >= S/G - rbp/den.
+                if (s as u128) * (den as u128) > (b.num as u128 + rbp as u128) * (GRID as u128) {
+                    break;
+                }
+            }
+            let visit = |cell: usize, best: &mut Option<(Frac, u32)>| {
+                for m in &self.cells[cell] {
+                    let free = m.free();
+                    if !req.fits_in(free) {
+                        continue;
+                    }
+                    let fa_c = free.cpu_m - req.cpu_m;
+                    let fa_m = free.mem_mib - req.mem_mib;
+                    let f = Frac {
+                        num: (fa_c * cm).max(fa_m * cc),
+                        den,
+                    };
+                    take_better(best, f, m.id, true, tie);
+                }
+            };
+            // Column ci = s (cj in fj..=s), then row cj = s (ci in fi..s);
+            // the corner (s, s) is visited exactly once.
+            for cj in fj..=s {
+                visit(s * GRID + cj, &mut best);
+            }
+            for ci in fi..s {
+                visit(ci * GRID + s, &mut best);
+            }
+        }
+        best
     }
 }
 
@@ -129,6 +302,12 @@ fn axis_cell(free: u64, cap: u64) -> usize {
         None => 0,
         Some(q) => (q as usize).min(GRID - 1),
     }
+}
+
+/// Row and diagonal of cell `ci * GRID + cj`: `(ci, ci + cj)`.
+fn row_and_level(cell: u32) -> (usize, usize) {
+    let (ci, cj) = (cell as usize / GRID, cell as usize % GRID);
+    (ci, ci + cj)
 }
 
 /// An incremental bucket index over node free capacity.
@@ -174,14 +353,28 @@ impl FreeCapIndex {
             .collect()
     }
 
+    /// Node `id`'s entry.
+    ///
+    /// # Panics
+    /// Panics if `id` is not live, including ids never issued.
+    fn entry(&self, id: u32) -> Entry {
+        match self.entries.get(id as usize) {
+            Some(&e) if e.class != DEAD => e,
+            _ => panic!("node {id} is not live"),
+        }
+    }
+
+    fn member(&self, e: Entry) -> Member {
+        self.classes[e.class as usize].cells[e.cell as usize][e.slot as usize]
+    }
+
     /// Current usage of node `id`.
     ///
     /// # Panics
     /// Panics if `id` is not live.
     pub fn used(&self, id: u32) -> Res {
-        let e = &self.entries[id as usize];
-        assert!(e.live, "node {id} is not live");
-        e.used
+        let e = self.entry(id);
+        self.classes[e.class as usize].cap - self.member(e).free()
     }
 
     /// Capacity of node `id`.
@@ -189,9 +382,7 @@ impl FreeCapIndex {
     /// # Panics
     /// Panics if `id` is not live.
     pub fn cap(&self, id: u32) -> Res {
-        let e = &self.entries[id as usize];
-        assert!(e.live, "node {id} is not live");
-        self.classes[e.class as usize].cap
+        self.classes[self.entry(id).class as usize].cap
     }
 
     fn class_for(&mut self, cap: Res) -> u32 {
@@ -204,32 +395,32 @@ impl FreeCapIndex {
         k
     }
 
-    fn attach(&mut self, id: u32, class: u32, used: Res) {
+    fn attach(&mut self, id: u32, class: u32, free: Res) {
         let k = &mut self.classes[class as usize];
-        let free = k.cap.saturating_sub(used);
-        let ci = axis_cell(free.cpu_m, k.cap.cpu_m);
-        let cj = axis_cell(free.mem_mib, k.cap.mem_mib);
-        let cell = (ci * GRID + cj) as u32;
+        let cell = k.cell_of(free);
         let members = &mut k.cells[cell as usize];
+        if members.is_empty() {
+            let (ci, level) = row_and_level(cell);
+            k.diag[level] |= 1 << ci;
+        }
         let slot = members.len() as u32;
-        members.push(id);
+        members.push(Member::new(id, free));
         k.len += 1;
-        self.entries[id as usize] = Entry {
-            class,
-            cell,
-            slot,
-            used,
-            live: true,
-        };
+        self.entries[id as usize] = Entry { class, cell, slot };
     }
 
-    fn detach(&mut self, id: u32) {
-        let e = self.entries[id as usize];
+    /// Unlinks the record `e` points at; the caller re-attaches the node
+    /// or marks its entry [`DEAD`].
+    fn detach(&mut self, e: Entry) {
         let k = &mut self.classes[e.class as usize];
         let members = &mut k.cells[e.cell as usize];
         members.swap_remove(e.slot as usize);
-        if let Some(&moved) = members.get(e.slot as usize) {
-            self.entries[moved as usize].slot = e.slot;
+        if let Some(moved) = members.get(e.slot as usize) {
+            self.entries[moved.id as usize].slot = e.slot;
+        }
+        if members.is_empty() {
+            let (ci, level) = row_and_level(e.cell);
+            k.diag[level] &= !(1 << ci);
         }
         k.len -= 1;
     }
@@ -251,16 +442,14 @@ impl FreeCapIndex {
             None => {
                 let id = self.entries.len() as u32;
                 self.entries.push(Entry {
-                    class: 0,
+                    class: DEAD,
                     cell: 0,
                     slot: 0,
-                    used: Res::ZERO,
-                    live: false,
                 });
                 id
             }
         };
-        self.attach(id, class, used);
+        self.attach(id, class, cap - used);
         self.live += 1;
         id
     }
@@ -270,9 +459,9 @@ impl FreeCapIndex {
     /// # Panics
     /// Panics if `id` is not live.
     pub fn remove(&mut self, id: u32) {
-        assert!(self.entries[id as usize].live, "node {id} is not live");
-        self.detach(id);
-        self.entries[id as usize].live = false;
+        let e = self.entry(id);
+        self.detach(e);
+        self.entries[id as usize].class = DEAD;
         self.free_ids.push(id);
         self.live -= 1;
     }
@@ -282,24 +471,20 @@ impl FreeCapIndex {
     /// # Panics
     /// Panics if `id` is not live or `used` exceeds the capacity.
     pub fn update_used(&mut self, id: u32, used: Res) {
-        let e = self.entries[id as usize];
-        assert!(e.live, "node {id} is not live");
-        let k = &self.classes[e.class as usize];
+        let e = self.entry(id);
+        let k = &mut self.classes[e.class as usize];
         assert!(
             used.fits_in(k.cap),
             "used {used:?} exceeds capacity {:?}",
             k.cap
         );
-        let free = k.cap.saturating_sub(used);
-        let ci = axis_cell(free.cpu_m, k.cap.cpu_m);
-        let cj = axis_cell(free.mem_mib, k.cap.mem_mib);
-        let cell = (ci * GRID + cj) as u32;
+        let free = k.cap - used;
+        let cell = k.cell_of(free);
         if cell == e.cell {
-            self.entries[id as usize].used = used;
+            k.cells[cell as usize][e.slot as usize] = Member::new(id, free);
         } else {
-            let class = e.class;
-            self.detach(id);
-            self.attach(id, class, used);
+            self.detach(e);
+            self.attach(id, e.class, free);
         }
     }
 
@@ -328,15 +513,15 @@ impl FreeCapIndex {
     /// Panics if `id` is not live, axes exceed the bound, or `used`
     /// exceeds `cap`.
     pub fn reset(&mut self, id: u32, cap: Res, used: Res) {
-        assert!(self.entries[id as usize].live, "node {id} is not live");
+        let e = self.entry(id);
         assert!(
             cap.cpu_m < MAX_DIM && cap.mem_mib < MAX_DIM,
             "capacity axis exceeds the index bound"
         );
         assert!(used.fits_in(cap), "used {used:?} exceeds capacity {cap:?}");
-        self.detach(id);
+        self.detach(e);
         let class = self.class_for(cap);
-        self.attach(id, class, used);
+        self.attach(id, class, cap - used);
     }
 
     /// Picks the best feasible node for `req` under `policy`, or `None`
@@ -346,9 +531,9 @@ impl FreeCapIndex {
         let mut best: Option<(Frac, u32)> = None;
         for k in &self.classes {
             let cand = match policy {
-                PlacePolicy::MostRequested => self.scan_sum(k, req, tie, false),
-                PlacePolicy::Spread => self.scan_sum(k, req, tie, true),
-                PlacePolicy::BinPack => self.scan_binpack(k, req, tie),
+                PlacePolicy::MostRequested => k.scan_sum(req, tie, false),
+                PlacePolicy::Spread => k.scan_sum(req, tie, true),
+                PlacePolicy::BinPack => k.scan_binpack(req, tie),
             };
             if let Some((f, id)) = cand {
                 take_better(&mut best, f, id, minimize, tie);
@@ -362,12 +547,12 @@ impl FreeCapIndex {
     pub fn pick_naive(&self, req: Res, policy: PlacePolicy, tie: TieBreak) -> Option<u32> {
         let minimize = !matches!(policy, PlacePolicy::Spread);
         let mut best: Option<(Frac, u32)> = None;
-        for (i, e) in self.entries.iter().enumerate() {
-            if !e.live {
+        for (i, &e) in self.entries.iter().enumerate() {
+            if e.class == DEAD {
                 continue;
             }
             let cap = self.classes[e.class as usize].cap;
-            let free = cap.saturating_sub(e.used);
+            let free = self.member(e).free();
             if !req.fits_in(free) {
                 continue;
             }
@@ -375,114 +560,6 @@ impl FreeCapIndex {
             take_better(&mut best, f, i as u32, minimize, tie);
         }
         best.map(|(_, id)| id)
-    }
-
-    /// Diagonal walk for the sum-of-free-shares policies. Ascending levels
-    /// minimize (most-requested); descending levels maximize (spread).
-    fn scan_sum(&self, k: &CapClass, req: Res, tie: TieBreak, spread: bool) -> Option<(Frac, u32)> {
-        if k.len == 0 || !req.fits_in(k.cap) {
-            return None;
-        }
-        let (cc, cm) = (k.cap.cpu_m.max(1), k.cap.mem_mib.max(1));
-        let den = cc * cm;
-        let fi = axis_cell(req.cpu_m, k.cap.cpu_m);
-        let fj = axis_cell(req.mem_mib, k.cap.mem_mib);
-        // R = rc/cc + rm/cm as rn/den: the score drop caused by placement.
-        let rn = req.cpu_m * cm + req.mem_mib * cc;
-        let mut best: Option<(Frac, u32)> = None;
-        let levels: Box<dyn Iterator<Item = usize>> = if spread {
-            Box::new(((fi + fj)..=(2 * (GRID - 1))).rev())
-        } else {
-            Box::new((fi + fj)..=(2 * (GRID - 1)))
-        };
-        for level in levels {
-            if let Some((b, _)) = best {
-                // A member of level L has free-share sum in
-                // [L/G, (L+2)/G], so its post-placement score lies in
-                // [L/G - R, (L+2)/G - R]. Stop (strictly — equal scores
-                // must still be scanned for the tie-break) once the whole
-                // remaining range cannot beat the incumbent.
-                let done = if spread {
-                    ((level + 2) as u128) * (den as u128)
-                        < (b.num as u128 + rn as u128) * (GRID as u128)
-                } else {
-                    (level as u128) * (den as u128) > (b.num as u128 + rn as u128) * (GRID as u128)
-                };
-                if done {
-                    break;
-                }
-            }
-            let lo = fi.max(level.saturating_sub(GRID - 1));
-            let hi = (GRID - 1).min(level - fj);
-            for ci in lo..=hi {
-                let cj = level - ci;
-                for &id in &k.cells[ci * GRID + cj] {
-                    let e = &self.entries[id as usize];
-                    let free = k.cap.saturating_sub(e.used);
-                    if !req.fits_in(free) {
-                        continue;
-                    }
-                    let fa_c = free.cpu_m - req.cpu_m;
-                    let fa_m = free.mem_mib - req.mem_mib;
-                    let f = Frac {
-                        num: fa_c * cm + fa_m * cc,
-                        den,
-                    };
-                    take_better(&mut best, f, id, !spread, tie);
-                }
-            }
-        }
-        best
-    }
-
-    /// L-shell walk for dominant-resource bin-packing: ascending shells
-    /// `max(ci, cj) = S`, minimizing the post-placement dominant free
-    /// share.
-    fn scan_binpack(&self, k: &CapClass, req: Res, tie: TieBreak) -> Option<(Frac, u32)> {
-        if k.len == 0 || !req.fits_in(k.cap) {
-            return None;
-        }
-        let (cc, cm) = (k.cap.cpu_m.max(1), k.cap.mem_mib.max(1));
-        let den = cc * cm;
-        let fi = axis_cell(req.cpu_m, k.cap.cpu_m);
-        let fj = axis_cell(req.mem_mib, k.cap.mem_mib);
-        // Dominant requested share max(rc/cc, rm/cm), over den.
-        let rbp = (req.cpu_m * cm).max(req.mem_mib * cc);
-        let mut best: Option<(Frac, u32)> = None;
-        for s in fi.max(fj)..GRID {
-            if let Some((b, _)) = best {
-                // A member of shell S has dominant free share >= S/G, so
-                // its post-placement score is >= S/G - rbp/den.
-                if (s as u128) * (den as u128) > (b.num as u128 + rbp as u128) * (GRID as u128) {
-                    break;
-                }
-            }
-            let visit = |cell: usize, best: &mut Option<(Frac, u32)>| {
-                for &id in &k.cells[cell] {
-                    let e = &self.entries[id as usize];
-                    let free = k.cap.saturating_sub(e.used);
-                    if !req.fits_in(free) {
-                        continue;
-                    }
-                    let fa_c = free.cpu_m - req.cpu_m;
-                    let fa_m = free.mem_mib - req.mem_mib;
-                    let f = Frac {
-                        num: (fa_c * cm).max(fa_m * cc),
-                        den,
-                    };
-                    take_better(best, f, id, true, tie);
-                }
-            };
-            // Column ci = s (cj in fj..=s), then row cj = s (ci in fi..s);
-            // the corner (s, s) is visited exactly once.
-            for cj in fj..=s {
-                visit(s * GRID + cj, &mut best);
-            }
-            for ci in fi..s {
-                visit(ci * GRID + s, &mut best);
-            }
-        }
-        best
     }
 
     /// Picks the node maximizing the orchestrator's legacy float score —
@@ -501,7 +578,7 @@ impl FreeCapIndex {
                 + req.mem_mib as f64 / k.cap.mem_mib.max(1) as f64;
             let fi = axis_cell(req.cpu_m, k.cap.cpu_m);
             let fj = axis_cell(req.mem_mib, k.cap.mem_mib);
-            for level in (fi + fj)..=(2 * (GRID - 1)) {
+            for level in (fi + fj)..LEVELS {
                 if prune {
                     if let Some((b, _)) = best {
                         // score = 1 - (free-share sum after)/2 and the sum
@@ -516,26 +593,20 @@ impl FreeCapIndex {
                         }
                     }
                 }
-                let lo = fi.max(level.saturating_sub(GRID - 1));
-                let hi = (GRID - 1).min(level - fj);
-                for ci in lo..=hi {
-                    let cj = level - ci;
-                    for &id in &k.cells[ci * GRID + cj] {
-                        let e = &self.entries[id as usize];
-                        let free = k.cap.saturating_sub(e.used);
-                        if !req.fits_in(free) {
-                            continue;
-                        }
-                        let s = legacy_score(k.cap, e.used, req);
-                        let better = match best {
-                            None => true,
-                            Some((b, bid)) => s > b || (s == b && id > bid),
-                        };
-                        if better {
-                            best = Some((s, id));
-                        }
+                k.visit_diag(level, fi, fj, |m| {
+                    let free = m.free();
+                    if !req.fits_in(free) {
+                        return;
                     }
-                }
+                    let s = legacy_score(k.cap, k.cap - free, req);
+                    let better = match best {
+                        None => true,
+                        Some((b, bid)) => s > b || (s == b && m.id > bid),
+                    };
+                    if better {
+                        best = Some((s, m.id));
+                    }
+                });
             }
         }
         best.map(|(_, id)| id)
@@ -545,16 +616,16 @@ impl FreeCapIndex {
     /// mirrors the orchestrator's historical `filter(fits).max_by(score)`.
     pub fn pick_most_requested_f64_naive(&self, req: Res) -> Option<u32> {
         let mut best: Option<(f64, u32)> = None;
-        for (i, e) in self.entries.iter().enumerate() {
-            if !e.live {
+        for (i, &e) in self.entries.iter().enumerate() {
+            if e.class == DEAD {
                 continue;
             }
             let cap = self.classes[e.class as usize].cap;
-            let free = cap.saturating_sub(e.used);
+            let free = self.member(e).free();
             if !req.fits_in(free) {
                 continue;
             }
-            let s = legacy_score(cap, e.used, req);
+            let s = legacy_score(cap, cap - free, req);
             let better = match best {
                 None => true,
                 // `max_by` keeps the last maximum: >= on an ascending scan.
@@ -565,6 +636,60 @@ impl FreeCapIndex {
             }
         }
         best.map(|(_, id)| id)
+    }
+
+    /// Asserts the index's internal invariants: masks match occupancy,
+    /// every record round-trips through `entries` and sits in the cell
+    /// its free vector maps to, class sizes sum to `live`, and the dead
+    /// ids are exactly the free list. Classes with no members are only
+    /// checked for all-zero masks: walking their cells after every op
+    /// would cost more than the churn it checks.
+    #[cfg(test)]
+    fn check_invariants(&self) {
+        let mut live = 0;
+        for (c, k) in self.classes.iter().enumerate() {
+            assert_eq!(self.class_ids[&k.cap], c as u32, "class {c} id");
+            if k.len == 0 {
+                assert_eq!(k.diag, [0; LEVELS], "empty class {c} masks");
+                continue;
+            }
+            let mut diag = [0u32; LEVELS];
+            let mut len = 0;
+            for (cell, members) in k.cells.iter().enumerate() {
+                if members.is_empty() {
+                    continue;
+                }
+                let (ci, level) = row_and_level(cell as u32);
+                diag[level] |= 1 << ci;
+                for (slot, m) in members.iter().enumerate() {
+                    let e = self.entries[m.id as usize];
+                    assert_eq!(
+                        (e.class, e.cell, e.slot),
+                        (c as u32, cell as u32, slot as u32),
+                        "node {} is misfiled",
+                        m.id
+                    );
+                    assert_eq!(self.used(m.id) + m.free(), k.cap, "node {} free", m.id);
+                    assert_eq!(k.cell_of(m.free()), cell as u32, "node {} cell", m.id);
+                }
+                len += members.len();
+            }
+            assert_eq!(diag, k.diag, "class {c} occupancy masks");
+            assert_eq!(len, k.len, "class {c} len");
+            live += k.len;
+        }
+        assert_eq!(live, self.live, "class sizes sum to live");
+        let mut dead = Vec::new();
+        for (id, &e) in self.entries.iter().enumerate() {
+            if e.class == DEAD {
+                dead.push(id as u32);
+            } else {
+                assert_eq!(self.member(e).id, id as u32, "node {id} record");
+            }
+        }
+        let mut free = self.free_ids.clone();
+        free.sort_unstable();
+        assert_eq!(dead, free, "dead ids are exactly the free list");
     }
 }
 
@@ -727,34 +852,61 @@ mod tests {
     }
 
     /// Exhaustive equivalence under random churn: after every mutation the
-    /// indexed pick must equal the naive full scan for every policy, every
-    /// tie-break, and the legacy f64 query — and any pick must be feasible.
+    /// internal invariants hold, the indexed pick equals the naive full
+    /// scan for every policy and tie-break, the legacy f64 query matches
+    /// its reference, and any pick is feasible. Resets drain a node to
+    /// zero capacity, move it to another class and bring it back home.
     #[test]
     fn pick_matches_naive_under_random_churn() {
+        fn random_cap(rng: &mut StdRng) -> Res {
+            if rng.gen_bool(0.8) {
+                M5_CATALOG[rng.gen_range(0..M5_CATALOG.len())].capacity()
+            } else {
+                Res::new(rng.gen_range(0u64..5_000), rng.gen_range(0u64..20_000))
+            }
+        }
+        fn random_used(rng: &mut StdRng, cap: Res) -> Res {
+            Res::new(rng.gen_range(0..=cap.cpu_m), rng.gen_range(0..=cap.mem_mib))
+        }
         let mut rng = StdRng::seed_from_u64(0x1d5eed);
         let mut idx = FreeCapIndex::new();
-        let mut live: Vec<u32> = Vec::new();
+        // Live ids with the capacity they were inserted with.
+        let mut live: Vec<(u32, Res)> = Vec::new();
         for step in 0..4_000 {
-            // Mutate: insert, remove, or update a node.
-            let op = rng.gen_range(0u32..10);
+            // Mutate: insert, remove, update or reset a node.
+            let op = rng.gen_range(0u32..13);
             if live.is_empty() || op < 4 {
-                let cap = if rng.gen_bool(0.8) {
-                    let m = &M5_CATALOG[rng.gen_range(0..M5_CATALOG.len())];
-                    m.capacity()
-                } else {
-                    Res::new(rng.gen_range(0u64..5_000), rng.gen_range(0u64..20_000))
-                };
-                let used = Res::new(rng.gen_range(0..=cap.cpu_m), rng.gen_range(0..=cap.mem_mib));
-                live.push(idx.insert(cap, used));
+                let cap = random_cap(&mut rng);
+                let used = random_used(&mut rng, cap);
+                live.push((idx.insert(cap, used), cap));
             } else if op < 6 {
                 let i = rng.gen_range(0..live.len());
-                idx.remove(live.swap_remove(i));
+                idx.remove(live.swap_remove(i).0);
             } else {
-                let id = live[rng.gen_range(0..live.len())];
-                let cap = idx.cap(id);
-                let used = Res::new(rng.gen_range(0..=cap.cpu_m), rng.gen_range(0..=cap.mem_mib));
-                idx.update_used(id, used);
+                let (id, home) = live[rng.gen_range(0..live.len())];
+                match op {
+                    10 => idx.reset(id, Res::ZERO, Res::ZERO),
+                    11 => {
+                        let cap = loop {
+                            let c = random_cap(&mut rng);
+                            if c != idx.cap(id) {
+                                break c;
+                            }
+                        };
+                        let used = random_used(&mut rng, cap);
+                        idx.reset(id, cap, used);
+                    }
+                    12 => {
+                        let used = random_used(&mut rng, home);
+                        idx.reset(id, home, used);
+                    }
+                    _ => {
+                        let used = random_used(&mut rng, idx.cap(id));
+                        idx.update_used(id, used);
+                    }
+                }
             }
+            idx.check_invariants();
             // Query: a mix of small, large, and degenerate requests.
             let req = match rng.gen_range(0u32..4) {
                 0 => Res::ZERO,
@@ -782,5 +934,51 @@ mod tests {
                 "legacy f64 divergence at step {step} req {req:?}"
             );
         }
+    }
+
+    /// One live node (id 0) and one removed id (1); id 2 was never issued.
+    fn with_dead_and_unissued_ids() -> FreeCapIndex {
+        let mut idx = FreeCapIndex::new();
+        let cap = Res::new(1_000, 1_000);
+        idx.insert(cap, Res::ZERO);
+        let gone = idx.insert(cap, Res::ZERO);
+        idx.remove(gone);
+        idx
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 is not live")]
+    fn used_of_an_unissued_id_panics() {
+        with_dead_and_unissued_ids().used(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 is not live")]
+    fn cap_of_an_unissued_id_panics() {
+        with_dead_and_unissued_ids().cap(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 is not live")]
+    fn remove_of_an_unissued_id_panics() {
+        with_dead_and_unissued_ids().remove(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 is not live")]
+    fn update_of_an_unissued_id_panics() {
+        with_dead_and_unissued_ids().update_used(2, Res::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 is not live")]
+    fn reset_of_an_unissued_id_panics() {
+        with_dead_and_unissued_ids().reset(2, Res::ZERO, Res::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 is not live")]
+    fn remove_of_a_removed_id_panics() {
+        with_dead_and_unissued_ids().remove(1);
     }
 }

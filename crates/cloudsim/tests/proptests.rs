@@ -100,13 +100,15 @@ proptest! {
         prop_assert_eq!(t.users, streamed);
     }
 
-    /// Under arbitrary insert/remove/update churn the incremental index
-    /// (a) picks exactly what the exhaustive scan picks for every policy
-    /// and tie-break, (b) never yields an infeasible placement, and
+    /// Under arbitrary insert/remove/update/reset churn the incremental
+    /// index (a) picks exactly what the exhaustive scan picks for every
+    /// policy and tie-break, (b) never yields an infeasible placement, and
     /// (c) reproduces the orchestrator's legacy f64 query bit-exactly.
+    /// Resets drain a node to zero capacity, move it to another class, and
+    /// move it back to the capacity it was inserted with.
     #[test]
     fn index_matches_naive_under_churn(
-        ops in prop::collection::vec((0u8..4, 0u64..8_000, 0u64..32_000), 1..80),
+        ops in prop::collection::vec((0u8..6, 0u64..8_000, 0u64..32_000), 1..80),
         req_cpu in 0u64..10_000,
         req_mem in 0u64..40_000,
     ) {
@@ -114,21 +116,32 @@ proptest! {
             [PlacePolicy::MostRequested, PlacePolicy::BinPack, PlacePolicy::Spread];
         const TIES: [TieBreak; 2] = [TieBreak::SmallestId, TieBreak::LargestId];
         let mut idx = FreeCapIndex::new();
-        let mut live: Vec<u32> = Vec::new();
+        // Live ids with the capacity they were inserted with.
+        let mut live: Vec<(u32, Res)> = Vec::new();
         for (step, &(op, a, b)) in ops.iter().enumerate() {
             match op {
-                0 => live.push(idx.insert(Res::new(a, b), Res::ZERO)),
-                1 => live.push(idx.insert(Res::new(a, b), Res::new(a / 2, b / 3))),
+                0 => live.push((idx.insert(Res::new(a, b), Res::ZERO), Res::new(a, b))),
+                1 => live.push((idx.insert(Res::new(a, b), Res::new(a / 2, b / 3)), Res::new(a, b))),
                 2 if !live.is_empty() => {
                     let i = (a as usize) % live.len();
-                    idx.remove(live.swap_remove(i));
+                    idx.remove(live.swap_remove(i).0);
                 }
-                _ if !live.is_empty() => {
-                    let id = live[(a as usize) % live.len()];
+                3 if !live.is_empty() => {
+                    let (id, _) = live[(a as usize) % live.len()];
                     let cap = idx.cap(id);
                     idx.update_used(id, Res::new(b % (cap.cpu_m + 1), (a ^ b) % (cap.mem_mib + 1)));
                 }
-                _ => live.push(idx.insert(Res::new(b, a), Res::ZERO)),
+                4 if !live.is_empty() => {
+                    let (id, _) = live[(a as usize) % live.len()];
+                    idx.reset(id, Res::ZERO, Res::ZERO);
+                }
+                5 if !live.is_empty() => {
+                    // Away to another class, or back home when away.
+                    let (id, home) = live[(a as usize) % live.len()];
+                    let cap = if idx.cap(id) == home { Res::new(b, a) } else { home };
+                    idx.reset(id, cap, Res::new(cap.cpu_m / 2, cap.mem_mib / 3));
+                }
+                _ => live.push((idx.insert(Res::new(b, a), Res::ZERO), Res::new(b, a))),
             }
             // Vary the probe per step so queries hit many regimes.
             let req = Res::new(req_cpu.rotate_left(step as u32) % 10_000, req_mem % (b + 1));
